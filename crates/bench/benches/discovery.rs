@@ -6,8 +6,9 @@
 //! milliseconds, leaving the budget as slack for much larger databases.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prism_core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism_core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism_datasets::{imdb, mondial, nba};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn walkthrough_constraints() -> TargetConstraints {
@@ -28,8 +29,7 @@ fn walkthrough_constraints() -> TargetConstraints {
 }
 
 fn bench_table1(c: &mut Criterion) {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
     let constraints = walkthrough_constraints();
     let mut group = c.benchmark_group("table1");
     group
@@ -88,10 +88,10 @@ fn bench_per_database(c: &mut Criterion) {
             .unwrap(),
         ),
     ];
-    for (name, db, constraints) in &cases {
-        let engine = Discovery::new(db, DiscoveryConfig::default());
-        group.bench_with_input(BenchmarkId::from_parameter(*name), name, |b, _| {
-            b.iter(|| engine.run(constraints).queries.len())
+    for (name, db, constraints) in cases {
+        let engine = DiscoveryService::new(Arc::new(db), DiscoveryConfig::default());
+        group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
+            b.iter(|| engine.run(&constraints).queries.len())
         });
     }
     group.finish();
@@ -104,11 +104,12 @@ fn bench_scaling(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(10));
     for scale in [1usize, 2, 4] {
-        let db = mondial(42, scale);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let db = Arc::new(mondial(42, scale));
+        let rows = db.total_rows();
+        let engine = DiscoveryService::new(db, DiscoveryConfig::default());
         let constraints = walkthrough_constraints();
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("scale{scale}_rows{}", db.total_rows())),
+            BenchmarkId::from_parameter(format!("scale{scale}_rows{rows}")),
             &scale,
             |b, _| b.iter(|| engine.run(&constraints).queries.len()),
         );

@@ -6,16 +6,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prism_bench::task_constraints;
-use prism_core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism_core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism_datasets::{mondial, Resolution, TaskGenConfig, TaskGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_resolutions(c: &mut Criterion) {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let taskgen = TaskGenerator::new(&db, TaskGenConfig::default());
+    let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
+    let taskgen = TaskGenerator::new(engine.database(), TaskGenConfig::default());
     let mut group = c.benchmark_group("e1_time_vs_resolution");
     group
         .sample_size(10)

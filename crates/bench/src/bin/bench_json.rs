@@ -126,14 +126,14 @@ fn main() {
     let (nrows, full_eval) = timed(|| q.execute(&db, usize::MAX).unwrap().len());
 
     // --- E1-style: discovery round wall-clock across resolutions ---
-    let db1 = mondial(42, 1);
+    let db1 = Arc::new(mondial(42, 1));
     let (e1_rows, e1_wall) = timed(|| {
+        let svc = DiscoveryService::new(Arc::clone(&db1), DiscoveryConfig::default());
         resolution_sweep(
-            &db1,
+            &svc,
             &[Resolution::Exact, Resolution::Disjunction],
             TASKS,
             7,
-            &DiscoveryConfig::default(),
         )
     });
     let e1_avg_ms: f64 = e1_rows

@@ -8,20 +8,21 @@
 //! Usage: `cargo run --release -p prism-bench --bin exp-missing [tasks]`
 
 use prism_bench::{render_table, task_constraints};
-use prism_core::{Discovery, DiscoveryConfig};
+use prism_core::{DiscoveryConfig, DiscoveryService};
 use prism_datasets::{mondial, Resolution, TaskGenConfig, TaskGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
     let n_tasks: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     // Report the full satisfying set, not the UI's capped list.
-    let engine = Discovery::new(
-        &db,
+    let engine = DiscoveryService::new(
+        Arc::clone(&db),
         DiscoveryConfig {
             result_limit: 100_000,
             ..DiscoveryConfig::default()

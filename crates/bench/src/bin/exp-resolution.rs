@@ -12,7 +12,7 @@
 //! Usage: `cargo run --release -p prism-bench --bin exp-resolution [tasks]`
 
 use prism_bench::{render_table, resolution_sweep};
-use prism_core::DiscoveryConfig;
+use prism_core::{DiscoveryConfig, DiscoveryService};
 use prism_datasets::{imdb, mondial, nba, Resolution};
 
 fn main() {
@@ -32,7 +32,8 @@ fn main() {
             db.name(),
             n_tasks
         );
-        let rows = resolution_sweep(&db, &Resolution::ALL, n_tasks, 0xE1E2, &config);
+        let svc = DiscoveryService::new(std::sync::Arc::new(db), config.clone());
+        let rows = resolution_sweep(&svc, &Resolution::ALL, n_tasks, 0xE1E2);
         let mut table = vec![vec![
             "resolution".to_string(),
             "tasks".to_string(),

@@ -9,11 +9,12 @@
 use prism_bench::{render_table, timed};
 
 use prism_core::explain::all_picks;
-use prism_core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism_core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism_datasets::mondial;
+use std::sync::Arc;
 
 fn main() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     println!("== T1: Table 1 / Section 3 walk-through (Mondial) ==\n");
     println!(
         "database: {} tables, {} join edges, {} rows",
@@ -41,7 +42,7 @@ fn main() {
     println!("  sample row:  [\"California || Nevada\", \"Lake Tahoe\", <empty>]");
     println!("  metadata  :  [ , , \"DataType=='decimal' AND MinValue>='0'\"]");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let (result, wall) = timed(|| engine.run(&constraints));
     println!(
         "\ndiscovered {} satisfying schema mapping queries in {:?} \

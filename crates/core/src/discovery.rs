@@ -1,9 +1,11 @@
 //! The end-to-end discovery pipeline (Figure 2).
 //!
 //! `constraints → related columns → candidate queries → filter validation →
-//! final schema mapping queries`, under the interactive time budget. A
-//! [`Discovery`] owns the trained Bayesian estimator (training happens "a
-//! priori", like the paper's preprocessing) and can be reused across rounds.
+//! final schema mapping queries`, under the interactive time budget. The
+//! round itself is crate-private: callers reach it through
+//! [`crate::service::DiscoveryService`], which owns the trained Bayesian
+//! estimator (training happens "a priori", like the paper's
+//! preprocessing), the shared plan cache and the thread budget.
 
 use crate::candidates::{enumerate_candidates, Candidate};
 use crate::config::DiscoveryConfig;
@@ -16,7 +18,7 @@ use crate::scheduler::{
     SchedulerKind,
 };
 use crate::validate::filter_query;
-use prism_bayes::{BayesEstimator, TrainConfig};
+use prism_bayes::BayesEstimator;
 use prism_db::{canonical_key, render_sql, Database, ExecStats, Value};
 use std::time::{Duration, Instant};
 
@@ -99,8 +101,7 @@ pub struct DiscoveryStats {
     /// Filters resolved by success/failure propagation.
     pub implied_successes: u64,
     pub implied_failures: u64,
-    /// Hindsight-optimal validations (populated for the Oracle scheduler,
-    /// or on request via [`Discovery::run_with_oracle`]).
+    /// Hindsight-optimal validations (populated for the Oracle scheduler).
     pub oracle_validations: Option<u64>,
     /// Validation rounds whose drain was overlapped with speculative
     /// scoring (the pipelined engine; 0 under `pipeline: false`, one
@@ -180,89 +181,19 @@ impl DiscoveryResult {
     }
 }
 
-/// A reusable discovery engine over one database.
-pub struct Discovery<'a> {
-    db: &'a Database,
-    config: DiscoveryConfig,
-    estimator: Option<BayesEstimator>,
-}
-
-impl<'a> Discovery<'a> {
-    /// Create an engine; trains the Bayesian estimator a priori when the
-    /// configured scheduler needs it.
-    pub fn new(db: &'a Database, config: DiscoveryConfig) -> Discovery<'a> {
-        let estimator = match config.scheduler {
-            SchedulerKind::Bayes => Some(BayesEstimator::train(db, &TrainConfig::default())),
-            _ => None,
-        };
-        Discovery {
-            db,
-            config,
-            estimator,
-        }
-    }
-
-    /// Use a pre-trained estimator (e.g. shared across engines, or an
-    /// ablation variant without join indicators).
-    pub fn with_estimator(mut self, estimator: BayesEstimator) -> Discovery<'a> {
-        self.estimator = Some(estimator);
-        self
-    }
-
-    pub fn config(&self) -> &DiscoveryConfig {
-        &self.config
-    }
-
-    pub fn database(&self) -> &'a Database {
-        self.db
-    }
-
-    /// Run one discovery round.
-    pub fn run(&self, constraints: &TargetConstraints) -> DiscoveryResult {
-        self.run_inner(constraints, false)
-    }
-
-    /// Run one round and additionally compute the hindsight optimum
-    /// (`stats.oracle_validations`) — used by the E3 experiment.
-    pub fn run_with_oracle(&self, constraints: &TargetConstraints) -> DiscoveryResult {
-        self.run_inner(constraints, true)
-    }
-
-    fn run_inner(&self, constraints: &TargetConstraints, want_oracle: bool) -> DiscoveryResult {
-        run_round(
-            self.db,
-            &self.config,
-            self.estimator.as_ref(),
-            constraints,
-            RoundOptions {
-                want_oracle,
-                shared_plans: None,
-                threads: self.config.validation_threads,
-            },
-        )
-    }
-}
-
-/// Per-round knobs beyond [`DiscoveryConfig`]: the borrowed [`Discovery`]
-/// engine and the owned [`crate::service::SessionHandle`] both funnel into
-/// [`run_round`], differing only here.
-pub(crate) struct RoundOptions<'s> {
-    pub want_oracle: bool,
-    /// Service-global plan cache; `None` = a private per-round cache.
-    pub shared_plans: Option<&'s SharedPlanCache>,
-    /// Validation worker count for this round (the service leases it from
-    /// its thread budget; the borrowed engine uses its config verbatim).
-    pub threads: usize,
-}
-
 /// One discovery round: `constraints → related columns → candidates →
 /// filters → scheduled validation → ranked results`.
+///
+/// `threads` validation workers run the round (the service leases them
+/// from its budget) and prepared plans come from the service-global
+/// `plans` cache.
 pub(crate) fn run_round(
     db: &Database,
     config: &DiscoveryConfig,
     estimator: Option<&BayesEstimator>,
     constraints: &TargetConstraints,
-    opts: RoundOptions<'_>,
+    plans: &SharedPlanCache,
+    threads: usize,
 ) -> DiscoveryResult {
     let start = Instant::now();
     let deadline = start + config.time_budget;
@@ -293,7 +224,7 @@ pub(crate) fn run_round(
         &cand_set.candidates,
         constraints,
         Some(deadline),
-        opts.shared_plans,
+        Some(plans),
     );
     stats.filters = fs.len();
     stats.truncated |= fs.truncated;
@@ -307,7 +238,6 @@ pub(crate) fn run_round(
     let ctx = SchedCtx::new(db, constraints, &fs)
         .with_deadline(Some(deadline))
         .with_faults(config.faults.clone());
-    let threads = opts.threads;
     let greedy = |model: &dyn crate::scheduler::FailureModel| {
         if config.pipeline && threads > 1 {
             Scheduler::run(&ctx, Engine::Pipelined { model, threads })
@@ -328,10 +258,6 @@ pub(crate) fn run_round(
             o
         }
     };
-    if opts.want_oracle && stats.oracle_validations.is_none() {
-        let (v, _) = oracle_schedule(db, constraints, &fs);
-        stats.oracle_validations = Some(v);
-    }
 
     stats.validations = outcome.validations;
     stats.implied_successes = outcome.implied_successes;
@@ -380,7 +306,8 @@ pub(crate) fn run_round(
         .collect();
     ranked.sort_by(|a, b| {
         a.0.cmp(&b.0)
-            .then_with(|| a.1.partial_cmp(&b.1).expect("finite estimates"))
+            .then_with(|| a.1.is_nan().cmp(&b.1.is_nan()))
+            .then_with(|| a.1.total_cmp(&b.1))
             .then_with(|| a.2.cmp(&b.2))
     });
     let mut queries = Vec::new();
@@ -430,7 +357,9 @@ fn estimate_result_rows(db: &Database, cand: &Candidate) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::DiscoveryService;
     use prism_datasets::{mondial, nba};
+    use std::sync::Arc;
 
     fn some(s: &str) -> Option<String> {
         Some(s.to_string())
@@ -447,8 +376,7 @@ mod tests {
 
     #[test]
     fn end_to_end_walkthrough_finds_the_desired_query() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
         let result = engine.run(&walkthrough_constraints());
         assert!(!result.timed_out);
         assert!(!result.queries.is_empty());
@@ -468,7 +396,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_find_the_same_queries() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough_constraints();
         let mut keys: Vec<Vec<String>> = Vec::new();
         for kind in [
@@ -477,7 +405,8 @@ mod tests {
             SchedulerKind::Bayes,
             SchedulerKind::Oracle,
         ] {
-            let engine = Discovery::new(&db, DiscoveryConfig::with_scheduler(kind));
+            let engine =
+                DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::with_scheduler(kind));
             let result = engine.run(&tc);
             let mut ks: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
             ks.sort();
@@ -490,8 +419,7 @@ mod tests {
 
     #[test]
     fn unsatisfiable_constraints_return_no_queries_quickly() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
         let tc = TargetConstraints::parse(1, &[vec![some("Atlantis Prime")]], &[]).unwrap();
         let result = engine.run(&tc);
         assert!(result.queries.is_empty());
@@ -501,29 +429,30 @@ mod tests {
 
     #[test]
     fn tiny_time_budget_reports_timeout() {
-        let db = mondial(42, 2);
         let config = DiscoveryConfig {
             time_budget: Duration::from_nanos(1),
             ..DiscoveryConfig::default()
         };
-        let engine = Discovery::new(&db, config);
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 2)), config);
         let result = engine.run(&walkthrough_constraints());
         assert!(result.timed_out || result.queries.is_empty());
     }
 
     #[test]
     fn oracle_stats_available_on_request() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
-        let result = engine.run_with_oracle(&walkthrough_constraints());
-        let oracle = result.stats.oracle_validations.expect("requested");
-        assert!(oracle <= result.stats.validations);
+        let db = Arc::new(mondial(42, 1));
+        let tc = walkthrough_constraints();
+        let greedy = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default()).run(&tc);
+        assert_eq!(greedy.stats.oracle_validations, None);
+        let oracle_config = DiscoveryConfig::with_scheduler(SchedulerKind::Oracle);
+        let oracle = DiscoveryService::new(db, oracle_config).run(&tc);
+        let optimum = oracle.stats.oracle_validations.expect("oracle scheduler");
+        assert!(optimum <= greedy.stats.validations);
     }
 
     #[test]
     fn works_on_nba_with_parallel_edges() {
-        let db = nba(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let engine = DiscoveryService::new(Arc::new(nba(42, 1)), DiscoveryConfig::default());
         // "Lakers" joined with a numeric score column via metadata.
         let tc = TargetConstraints::parse(
             2,
@@ -551,8 +480,7 @@ mod tests {
 
     #[test]
     fn results_are_ranked_simplest_and_most_specific_first() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
         let result = engine.run(&walkthrough_constraints());
         // Join counts are non-decreasing down the result list.
         let joins: Vec<usize> = result
@@ -578,13 +506,12 @@ mod tests {
 
     #[test]
     fn preview_table_renders_headers_and_rows() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
         let result = engine.run(&walkthrough_constraints());
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
         let q = result.queries.iter().find(|q| q.sql == want).unwrap();
-        let table = q.preview_table(&db);
+        let table = q.preview_table(engine.database());
         assert!(table.contains("geo_lake.Province"), "{table}");
         assert!(table.contains("Lake.Area"));
         assert!(table.contains("Lake Tahoe"));
@@ -595,12 +522,11 @@ mod tests {
 
     #[test]
     fn result_limit_caps_returned_queries() {
-        let db = mondial(42, 1);
         let config = DiscoveryConfig {
             result_limit: 1,
             ..DiscoveryConfig::default()
         };
-        let engine = Discovery::new(&db, config);
+        let engine = DiscoveryService::new(Arc::new(mondial(42, 1)), config);
         let result = engine.run(&walkthrough_constraints());
         assert_eq!(result.queries.len(), 1);
     }

@@ -1,10 +1,9 @@
 //! The one error type of the public API.
 //!
-//! PR 6 consolidates what used to be three error surfaces — the session's
-//! `SessionError`, the constraint parser's [`ConstraintError`], and ad-hoc
-//! protocol strings ("no search has been run", "no result #i") — into a
-//! single [`enum@Error`] implementing [`std::error::Error`], re-exported
-//! from the facade crate. `SessionError` survives as a deprecated alias.
+//! Session protocol errors (grid bounds, disabled metadata, unknown UDFs,
+//! "no search has been run", "no result #i") and the constraint parser's
+//! [`ConstraintError`] share a single [`enum@Error`] implementing
+//! [`std::error::Error`], re-exported from the facade crate.
 
 use crate::constraints::ConstraintError;
 

@@ -243,8 +243,9 @@ impl QueryGraph {
 mod tests {
     use super::*;
     use crate::config::DiscoveryConfig;
-    use crate::discovery::Discovery;
+    use crate::service::DiscoveryService;
     use prism_datasets::mondial;
+    use std::sync::Arc;
 
     fn some(s: &str) -> Option<String> {
         Some(s.to_string())
@@ -259,8 +260,8 @@ mod tests {
         .unwrap()
     }
 
-    fn desired_candidate(db: &prism_db::Database, tc: &TargetConstraints) -> Candidate {
-        let engine = Discovery::new(db, DiscoveryConfig::default());
+    fn desired_candidate(db: &Arc<prism_db::Database>, tc: &TargetConstraints) -> Candidate {
+        let engine = DiscoveryService::new(Arc::clone(db), DiscoveryConfig::default());
         let result = engine.run(tc);
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
@@ -274,7 +275,7 @@ mod tests {
 
     #[test]
     fn graph_structure_matches_figure_4c() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &all_picks(&tc));
@@ -291,7 +292,7 @@ mod tests {
 
     #[test]
     fn constraints_attach_to_the_satisfying_attribute() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &all_picks(&tc));
@@ -310,7 +311,7 @@ mod tests {
 
     #[test]
     fn dot_output_is_well_formed_and_colored() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let dot = explain(&db, &cand, &tc, &all_picks(&tc)).to_dot();
@@ -328,7 +329,7 @@ mod tests {
 
     #[test]
     fn ascii_output_mentions_everything() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let text = explain(&db, &cand, &tc, &all_picks(&tc)).to_ascii();
@@ -346,7 +347,7 @@ mod tests {
 
     #[test]
     fn empty_picks_draw_no_constraint_boxes() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &[]);
@@ -356,7 +357,7 @@ mod tests {
 
     #[test]
     fn out_of_range_picks_are_ignored() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(

@@ -34,10 +34,13 @@
 //! stale scores when the verdicts land. Parallel, pipelined, and
 //! sequential runs provably accept identical candidate sets.
 //!
-//! [`discovery::Discovery`] orchestrates both steps under an interactive
-//! time budget (the demo's 60-second limit), [`explain`] renders the
-//! Figure-4c query graphs, and [`session`] mirrors the demo UI's
-//! Configuration / Description / Result workflow.
+//! [`service::DiscoveryService`] is the one way to run a discovery round:
+//! it orchestrates both steps under an interactive time budget (the demo's
+//! 60-second limit), either over already-parsed constraints
+//! ([`service::DiscoveryService::run`]) or through owned
+//! [`service::SessionHandle`]s that mirror the demo UI's Configuration /
+//! Description / Result workflow (grid shape and parsing in [`session`]).
+//! [`explain`] renders the Figure-4c query graphs.
 
 pub mod candidates;
 pub mod config;
@@ -57,7 +60,7 @@ pub mod validate;
 pub use candidates::Candidate;
 pub use config::{default_faults, default_pipeline, default_validation_threads, DiscoveryConfig};
 pub use constraints::TargetConstraints;
-pub use discovery::{DiscoveredQuery, Discovery, DiscoveryResult, DiscoveryStats};
+pub use discovery::{DiscoveredQuery, DiscoveryResult, DiscoveryStats};
 pub use error::Error;
 pub use explain::QueryGraph;
 pub use faults::{FaultKind, FaultNote, FaultReport, FaultSite, FaultSpec, SlotVerdict};
@@ -65,4 +68,4 @@ pub use filters::{Filter, FilterId, FilterSet, PlanCacheStats};
 pub use related::RelatedColumns;
 pub use scheduler::{Engine, FaultedFilter, SchedCtx, Scheduler, SchedulerKind};
 pub use service::{DiscoveryService, SessionHandle, ThreadBudget};
-pub use session::{Session, SessionConfig};
+pub use session::SessionConfig;

@@ -32,9 +32,9 @@
 //!
 //! ## Sequential vs. parallel
 //!
-//! [`run_greedy`] validates one filter per greedy round. [`run_greedy_parallel`]
-//! picks a *batch* of top-scoring, mutually **non-implying** filters per
-//! round (no batch member can resolve another through success/failure
+//! [`Engine::Greedy`] with one thread validates one filter per greedy
+//! round. With more threads it picks a *batch* of top-scoring, mutually
+//! **non-implying** filters per round (no batch member can resolve another through success/failure
 //! propagation, so decomposition pruning loses nothing to concurrency) and
 //! validates the batch on the [`crate::parallel`] worker pool. Validation
 //! outcomes are ground truth — independent of order — so both engines
@@ -361,9 +361,7 @@ pub enum Engine<'m> {
     },
 }
 
-/// The one entry point for running a schedule. `run_greedy`,
-/// `run_greedy_parallel` and `run_naive` are thin deprecated wrappers over
-/// [`Scheduler::run`].
+/// The one entry point for running a schedule.
 pub struct Scheduler;
 
 impl Scheduler {
@@ -864,10 +862,15 @@ fn select_batch(
     let mut blocked = vec![false; fs.len()];
     let mut batch: Vec<FilterId> = Vec::with_capacity(max);
     // Positive scores first, best score winning (id breaks ties, matching
-    // the sequential argmax).
-    scored.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
+    // the sequential argmax). A NaN score (from a misbehaving failure
+    // model) sorts after every number and never counts as positive.
+    scored.sort_unstable_by(|a, b| {
+        (a.0.is_nan().cmp(&b.0.is_nan()))
+            .then(b.0.total_cmp(&a.0))
+            .then(a.1.cmp(&b.1))
+    });
     for &(score, f) in &scored {
-        if score <= 0.0 || batch.len() >= max {
+        if score.is_nan() || score <= 0.0 || batch.len() >= max {
             break;
         }
         if !blocked[f.index()] {
@@ -892,7 +895,11 @@ fn select_batch(
             (c, f.id)
         })
         .collect();
-    required.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+    required.sort_unstable_by(|a, b| {
+        (a.0.is_nan().cmp(&b.0.is_nan()))
+            .then(a.0.total_cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
     for &(_, f) in &required {
         if batch.len() >= max {
             break;
@@ -1182,54 +1189,6 @@ fn naive_schedule(ctx: &SchedCtx<'_>) -> ScheduleOutcome {
     state.finish()
 }
 
-/// Run the greedy filter schedule with the given failure model, one
-/// validation per round, on the calling thread.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Scheduler::run(&ctx, Engine::Greedy { model, threads: 1 })`"
-)]
-pub fn run_greedy(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    model: &dyn FailureModel,
-    deadline: Option<Instant>,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Greedy { model, threads: 1 })
-}
-
-/// Run the greedy filter schedule with batches of mutually non-implying
-/// validations on `threads` worker threads (`<= 1` = the sequential path).
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Scheduler::run(&ctx, Engine::Greedy { model, threads })`"
-)]
-pub fn run_greedy_parallel(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    model: &dyn FailureModel,
-    deadline: Option<Instant>,
-    threads: usize,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Greedy { model, threads })
-}
-
-/// Naive whole-query validation: each candidate's top filters in
-/// enumeration order, no decomposition, no sharing.
-#[deprecated(since = "0.6.0", note = "use `Scheduler::run(&ctx, Engine::Naive)`")]
-pub fn run_naive(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    deadline: Option<Instant>,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Naive)
-}
-
 /// Ground-truth outcome of every filter, memoized. Not counted as
 /// scheduling work — this is the oracle's hindsight knowledge (and the
 /// test suite's source of truth).
@@ -1383,8 +1342,7 @@ mod tests {
         Some(s.to_string())
     }
 
-    // The tests drive everything through the one public entry point; these
-    // shadow the deprecated free functions of the same names.
+    // Shorthands for the one public entry point.
     fn run_greedy(
         db: &Database,
         constraints: &TargetConstraints,
@@ -1840,25 +1798,40 @@ mod tests {
         assert!(multi > single);
     }
 
-    /// The deprecated free functions are pure delegation: same inputs,
-    /// bit-identical accepted sets and validation counts as the
-    /// [`Scheduler::run`] calls they forward to.
+    /// A failure model answering NaN (of either sign) for two filters in
+    /// three and the path-length estimate for the rest.
+    struct NanModel;
+
+    impl FailureModel for NanModel {
+        fn failure_probability(&self, db: &Database, fs: &FilterSet, f: FilterId) -> f64 {
+            match f.index() % 3 {
+                0 => f64::NAN,
+                1 => -f64::NAN,
+                _ => PathLengthModel.failure_probability(db, fs, f),
+            }
+        }
+    }
+
+    /// NaN scores rank after every number and never count as positive, so
+    /// every greedy engine still terminates with the naive accept set.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_scheduler_entry_point() {
+    fn nan_failure_probabilities_cannot_panic_or_change_the_accept_set() {
         let s = walkthrough();
         let (_, fs) = prepare(&s);
-        let new = run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        let old = super::run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        assert_eq!(new.accepted, old.accepted);
-        assert_eq!(new.validations, old.validations);
-        let new = run_naive(&s.db, &s.tc, &fs, None);
-        let old = super::run_naive(&s.db, &s.tc, &fs, None);
-        assert_eq!(new.accepted, old.accepted);
-        assert_eq!(new.validations, old.validations);
-        let new = run_greedy_parallel(&s.db, &s.tc, &fs, &PathLengthModel, None, 4);
-        let old = super::run_greedy_parallel(&s.db, &s.tc, &fs, &PathLengthModel, None, 4);
-        assert_eq!(new.accepted, old.accepted);
+        let deadline = Instant::now() + std::time::Duration::from_secs(120);
+        let ctx = SchedCtx::new(&s.db, &s.tc, &fs).with_deadline(Some(deadline));
+        let naive = Scheduler::run(&ctx, Engine::Naive);
+        assert!(!naive.accepted.is_empty());
+        let model = &NanModel;
+        for engine in [
+            Engine::Greedy { model, threads: 1 },
+            Engine::Greedy { model, threads: 2 },
+            Engine::Pipelined { model, threads: 2 },
+        ] {
+            let outcome = Scheduler::run(&ctx, engine);
+            assert!(!outcome.timed_out, "the schedule must terminate");
+            assert_eq!(outcome.accepted, naive.accepted);
+        }
     }
 
     #[test]

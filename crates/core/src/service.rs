@@ -19,12 +19,15 @@
 //! * each round leases validation workers from the service-wide budget
 //!   instead of assuming it owns the machine.
 //!
-//! [`crate::session::Session`] remains the single-user, borrowed
-//! equivalent; both funnel into the same `run_round` pipeline.
+//! This is the only way to run a discovery round. A single-user caller is
+//! a one-session service: [`DiscoveryService::run`] takes already-parsed
+//! constraints, [`SessionHandle::start_searching`] parses the session's
+//! grid first, and both go through the same lease, panic boundary and
+//! plan cache.
 
 use crate::config::DiscoveryConfig;
 use crate::constraints::TargetConstraints;
-use crate::discovery::{run_round, DiscoveryResult, RoundOptions};
+use crate::discovery::{run_round, DiscoveryResult};
 use crate::error::Error;
 use crate::explain::{all_picks, explain, ConstraintPick, QueryGraph};
 use crate::faults::FaultReport;
@@ -114,6 +117,56 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
+    /// One discovery round under `config`: leases validation workers from
+    /// the service budget, runs the round through the shared plan cache,
+    /// and counts it in `rounds_run`.
+    ///
+    /// The lease spans the whole round, overlapping pipelined scheduling
+    /// rounds included: under `config.pipeline` the coordinator occupies
+    /// one granted slot itself (it scores speculatively while a batch
+    /// drains) and the pool runs on the remaining `threads - 1`, so the
+    /// budget's accounting is unchanged by pipelining.
+    ///
+    /// Fault isolation: the round runs inside a panic boundary. The
+    /// validation stack already contains per-slot faults ([`DiscoveryResult`]
+    /// degrades instead of failing); this last line of defense catches a
+    /// coordinator-level unwind too, so one faulting round can never take
+    /// down its siblings or poison the service — the thread lease returns
+    /// to the budget, shared state (plan cache, estimator) is never mutated
+    /// mid-panic, and the caller gets an empty degraded result naming the
+    /// fault.
+    fn round(&self, config: &DiscoveryConfig, constraints: &TargetConstraints) -> DiscoveryResult {
+        let estimator = match config.scheduler {
+            SchedulerKind::Bayes => Some(self.bayes_estimator()),
+            _ => self.estimator.get(),
+        };
+        let lease = self.budget.acquire(config.validation_threads);
+        let threads = lease.threads();
+        let round = catch_unwind(AssertUnwindSafe(|| {
+            run_round(
+                &self.db,
+                config,
+                estimator,
+                constraints,
+                &self.plans,
+                threads,
+            )
+        }));
+        drop(lease);
+        let result = round.unwrap_or_else(|payload| DiscoveryResult {
+            degraded: true,
+            fault_reports: vec![FaultReport {
+                filter_sql: "(round coordinator)".to_string(),
+                reason: panic_message(&*payload),
+                retries: 0,
+                candidates: 0,
+            }],
+            ..DiscoveryResult::default()
+        });
+        self.rounds_run.fetch_add(1, Ordering::Relaxed);
+        result
+    }
+
     fn bayes_estimator(&self) -> &BayesEstimator {
         self.estimator
             .get_or_init(|| BayesEstimator::train(&self.db, &TrainConfig::default()))
@@ -175,8 +228,7 @@ impl DiscoveryService {
             grid: ConstraintGrid::new(&config),
             config,
             udfs: UdfRegistry::new(),
-            last_constraints: None,
-            last_result: None,
+            last: None,
         }
     }
 
@@ -187,6 +239,16 @@ impl DiscoveryService {
             discovery: self.core.config.clone(),
             ..SessionConfig::default()
         })
+    }
+
+    /// Run one discovery round over already-parsed constraints with the
+    /// service's configuration — "Start Searching!" without a session
+    /// grid. A single-user caller is a one-session service: this shares
+    /// [`SessionHandle::start_searching`]'s thread lease, panic boundary,
+    /// plan cache and `rounds_run` accounting; a panic outside the
+    /// validation slots comes back as an empty degraded result.
+    pub fn run(&self, constraints: &TargetConstraints) -> DiscoveryResult {
+        self.core.round(&self.core.config, constraints)
     }
 
     pub fn database(&self) -> &Database {
@@ -219,18 +281,19 @@ impl DiscoveryService {
     }
 }
 
-/// One owned interactive session: the same Configuration → Description →
-/// Result workflow as [`crate::session::Session`], minus the lifetime —
-/// a handle is `Send` and can run on any thread while its siblings run on
-/// others.
+/// One owned interactive session: the demo UI's Configuration →
+/// Description → Result workflow (Figures 2–4). The
+/// `examples/interactive_demo.rs` binary drives it through the Section 3
+/// walk-through. A handle is `Send` and can run on any thread while its
+/// siblings run on others.
 pub struct SessionHandle {
     svc: Arc<ServiceCore>,
     id: u64,
     config: SessionConfig,
     grid: ConstraintGrid,
     udfs: UdfRegistry,
-    last_constraints: Option<TargetConstraints>,
-    last_result: Option<DiscoveryResult>,
+    /// Parsed constraints and Result section of the last search.
+    last: Option<(TargetConstraints, DiscoveryResult)>,
 }
 
 // A handle must be movable into worker threads (the whole point of the
@@ -276,71 +339,35 @@ impl SessionHandle {
         self.grid.set_metadata_cell(column, text.into())
     }
 
-    /// Step 3: "Start Searching!". Parses the grid, leases validation
-    /// workers from the service budget, runs a round through the shared
-    /// plan cache, and stores the Result section.
+    /// Step 3: "Start Searching!". Parses the grid, runs a round with this
+    /// session's engine configuration, and stores the Result section.
     ///
-    /// The lease spans the whole round, overlapping pipelined scheduling
-    /// rounds included: under `config.pipeline` the coordinator occupies
-    /// one granted slot itself (it scores speculatively while a batch
-    /// drains) and the pool runs on the remaining `threads - 1`, so the
-    /// budget's accounting is unchanged by pipelining.
+    /// With `discovery.pipeline` (the default) and more than one
+    /// validation thread, scheduling rounds are pipelined — scoring of the
+    /// next batch overlaps the previous batch's validation drain. The
+    /// Result section is identical either way.
     ///
-    /// Fault isolation: the round runs inside a panic boundary. The
-    /// validation stack already contains per-slot faults ([`DiscoveryResult`]
-    /// degrades instead of failing); this last line of defense catches a
-    /// coordinator-level unwind too, so one faulting session can never
-    /// take down its siblings or poison the service — the thread lease
-    /// returns to the budget, shared state (plan cache, estimator) is
-    /// never mutated mid-panic, and the session stores an empty degraded
-    /// result naming the fault.
+    /// A faulting filter (a panicking UDF, an injected fault under
+    /// `PRISM_FAULT`) does not abort the search: its candidates are
+    /// abandoned, the Result section comes back with
+    /// [`DiscoveryResult::degraded`] set and a fault report per affected
+    /// filter, and every query listed is still fully validated. A panic
+    /// outside the validation slots is contained too: the session stores
+    /// an empty degraded result naming the fault.
     pub fn start_searching(&mut self) -> Result<&DiscoveryResult, Error> {
         let constraints = self.grid.parse(&self.udfs)?;
-        let config = &self.config.discovery;
-        let estimator = match config.scheduler {
-            SchedulerKind::Bayes => Some(self.svc.bayes_estimator()),
-            _ => self.svc.estimator.get(),
-        };
-        let lease = self.svc.budget.acquire(config.validation_threads);
-        let threads = lease.threads();
-        let round = catch_unwind(AssertUnwindSafe(|| {
-            run_round(
-                &self.svc.db,
-                config,
-                estimator,
-                &constraints,
-                RoundOptions {
-                    want_oracle: false,
-                    shared_plans: Some(&self.svc.plans),
-                    threads,
-                },
-            )
-        }));
-        drop(lease);
-        let result = round.unwrap_or_else(|payload| DiscoveryResult {
-            degraded: true,
-            fault_reports: vec![FaultReport {
-                filter_sql: "(round coordinator)".to_string(),
-                reason: panic_message(&*payload),
-                retries: 0,
-                candidates: 0,
-            }],
-            ..DiscoveryResult::default()
-        });
-        self.svc.rounds_run.fetch_add(1, Ordering::Relaxed);
-        self.last_constraints = Some(constraints);
-        self.last_result = Some(result);
-        Ok(self.last_result.as_ref().expect("just stored"))
+        let result = self.svc.round(&self.config.discovery, &constraints);
+        Ok(&self.last.insert((constraints, result)).1)
     }
 
     /// The Result section of the last search.
     pub fn result(&self) -> Option<&DiscoveryResult> {
-        self.last_result.as_ref()
+        self.last.as_ref().map(|(_, r)| r)
     }
 
     /// Step 4.1: the SQL text of one discovered query (Figure 4b).
     pub fn result_sql(&self, index: usize) -> Result<&str, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
+        let r = self.result().ok_or(Error::NoSearchRun)?;
         r.queries
             .get(index)
             .map(|q| q.sql.as_str())
@@ -354,12 +381,8 @@ impl SessionHandle {
         index: usize,
         picks: Option<&[ConstraintPick]>,
     ) -> Result<QueryGraph, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
+        let (constraints, r) = self.last.as_ref().ok_or(Error::NoSearchRun)?;
         let q = r.queries.get(index).ok_or(Error::NoSuchResult(index))?;
-        let constraints = self
-            .last_constraints
-            .as_ref()
-            .expect("constraints stored with result");
         let owned_all;
         let picks = match picks {
             Some(p) => p,
@@ -379,6 +402,12 @@ mod tests {
 
     fn walkthrough_service() -> DiscoveryService {
         DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default())
+    }
+
+    fn keys(r: &DiscoveryResult) -> Vec<String> {
+        let mut k: Vec<String> = r.queries.iter().map(|q| q.key.clone()).collect();
+        k.sort();
+        k
     }
 
     fn describe(session: &mut SessionHandle) {
@@ -431,15 +460,35 @@ mod tests {
         assert_eq!(after_warm.misses, after_cold.misses, "no new classes");
         assert!(after_warm.hits > after_cold.hits, "classes re-registered");
         // Same accepted queries either way.
-        let keys = |r: &DiscoveryResult| {
-            let mut k: Vec<String> = r.queries.iter().map(|q| q.key.clone()).collect();
-            k.sort();
-            k
-        };
         assert_eq!(
             keys(first.result().unwrap()),
             keys(second.result().unwrap())
         );
+    }
+
+    /// `run` over parsed constraints and a session's "Start Searching!"
+    /// are one round path: same answer, same plan cache, same counters.
+    #[test]
+    fn run_shares_the_session_round_path() {
+        let svc = walkthrough_service();
+        let mut session = svc.open_default_session();
+        describe(&mut session);
+        let via_session = session.start_searching().unwrap().clone();
+        let some = |s: &str| Some(s.to_string());
+        let tc = TargetConstraints::parse(
+            3,
+            &[vec![some("California || Nevada"), some("Lake Tahoe"), None]],
+            &[None, None, some("DataType=='decimal' AND MinValue>='0'")],
+        )
+        .unwrap();
+        let via_run = svc.run(&tc);
+        assert_eq!(keys(&via_run), keys(&via_session));
+        assert_eq!(
+            via_run.stats.exec.plans_built, 0,
+            "session warmed the cache"
+        );
+        assert_eq!(svc.rounds_run(), 2);
+        assert_eq!(svc.thread_budget().available(), svc.thread_budget().total());
     }
 
     #[test]
@@ -491,11 +540,6 @@ mod tests {
 
     #[test]
     fn pipelined_sessions_overlap_rounds_and_match_phased_results() {
-        let keys = |r: &DiscoveryResult| {
-            let mut k: Vec<String> = r.queries.iter().map(|q| q.key.clone()).collect();
-            k.sort();
-            k
-        };
         let db = Arc::new(mondial(42, 1));
         let pipelined = DiscoveryConfig {
             validation_threads: 4,

@@ -1,18 +1,12 @@
-//! The demo workflow: Configuration → Description → Result (Figures 2–4).
-//!
-//! [`Session`] is the programmatic mirror of the web UI's three sections.
-//! The `examples/interactive_demo.rs` binary drives it as a scripted CLI,
-//! reproducing the demonstration walk-through of Section 3 step by step:
-//! configure the source database and grid shape, type constraints into the
-//! Description grid, hit "Start Searching!", then inspect SQL, pick
-//! constraints, and render the explanation graph.
+//! The Configuration and Description sections of the demo workflow
+//! (Figures 2–3): the grid shape a session is opened with and the raw
+//! constraint grid it parses. Sessions themselves are
+//! [`crate::service::SessionHandle`]s handed out by a
+//! [`crate::service::DiscoveryService`].
 
 use crate::config::DiscoveryConfig;
 use crate::constraints::TargetConstraints;
-use crate::discovery::{Discovery, DiscoveryResult};
 use crate::error::Error;
-use crate::explain::{all_picks, explain, ConstraintPick, QueryGraph};
-use prism_db::Database;
 use prism_lang::UdfRegistry;
 
 /// The Configuration section (Figure 2 / Section 3 step 1).
@@ -39,18 +33,9 @@ impl Default for SessionConfig {
     }
 }
 
-/// The old session error surface, now folded into [`enum@Error`]. The
-/// variants a pre-PR-6 caller matched (`OutOfRange`, `MetadataDisabled`,
-/// `Constraint`) exist unchanged on the unified enum; protocol strings
-/// became the typed `UnknownUdfs` / `NoSearchRun` / `NoSuchResult`.
-#[deprecated(since = "0.6.0", note = "use `prism_core::Error`")]
-pub type SessionError = Error;
-
 /// The Description grid of one session, as raw text: sample cells plus the
 /// optional metadata row, with the parse step that turns them into
-/// [`TargetConstraints`]. Shared verbatim by the borrowed [`Session`] and
-/// the owned [`crate::service::SessionHandle`] so both enforce identical
-/// bounds and produce identical errors.
+/// [`TargetConstraints`].
 pub(crate) struct ConstraintGrid {
     target_columns: usize,
     sample_rows: usize,
@@ -116,156 +101,27 @@ impl ConstraintGrid {
     }
 }
 
-/// One interactive schema-mapping session against a source database.
-///
-/// `Session` borrows its database; [`crate::service::DiscoveryService`]
-/// hands out the owned, `Send` equivalent ([`crate::service::SessionHandle`])
-/// for concurrent multi-session serving.
-pub struct Session<'a> {
-    engine: Discovery<'a>,
-    config: SessionConfig,
-    grid: ConstraintGrid,
-    udfs: UdfRegistry,
-    /// Parsed constraints of the last search.
-    last_constraints: Option<TargetConstraints>,
-    /// The Result section of the last search.
-    last_result: Option<DiscoveryResult>,
-}
-
-impl<'a> Session<'a> {
-    /// Step 1: choose the source database and configure the grid.
-    pub fn new(db: &'a Database, config: SessionConfig) -> Session<'a> {
-        Session {
-            engine: Discovery::new(db, config.discovery.clone()),
-            grid: ConstraintGrid::new(&config),
-            config,
-            udfs: UdfRegistry::new(),
-            last_constraints: None,
-            last_result: None,
-        }
-    }
-
-    /// Register user-defined functions available to `@name` predicates.
-    pub fn set_udfs(&mut self, udfs: UdfRegistry) {
-        self.udfs = udfs;
-    }
-
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
-    pub fn database_name(&self) -> &str {
-        self.engine.database().name()
-    }
-
-    /// Step 2: type into a cell of the Sample/Result Constraints grid.
-    pub fn set_sample_cell(
-        &mut self,
-        row: usize,
-        column: usize,
-        text: impl Into<String>,
-    ) -> Result<(), Error> {
-        self.grid.set_sample_cell(row, column, text.into())
-    }
-
-    /// Step 2 (metadata row): type into a Metadata Constraints cell.
-    pub fn set_metadata_cell(
-        &mut self,
-        column: usize,
-        text: impl Into<String>,
-    ) -> Result<(), Error> {
-        self.grid.set_metadata_cell(column, text.into())
-    }
-
-    /// Step 3: hit "Start Searching!". Parses the grid, runs discovery, and
-    /// stores the Result section.
-    ///
-    /// With `discovery.pipeline` (the default) and more than one
-    /// validation thread, scheduling rounds are pipelined — scoring of the
-    /// next batch overlaps the previous batch's validation drain. The
-    /// Result section is identical either way; `PRISM_PIPELINE=off` (or
-    /// `pipeline: false`) restores the phased path.
-    ///
-    /// A faulting filter (a panicking UDF, an injected fault under
-    /// `PRISM_FAULT`) does not abort the search: its candidates are
-    /// abandoned, the Result section comes back with
-    /// [`DiscoveryResult::degraded`] set and a fault report per affected
-    /// filter, and every query listed is still fully validated. Use
-    /// [`Session::degradation_notice`] for the user-facing banner.
-    pub fn start_searching(&mut self) -> Result<&DiscoveryResult, Error> {
-        let constraints = self.grid.parse(&self.udfs)?;
-        let result = self.engine.run(&constraints);
-        self.last_constraints = Some(constraints);
-        self.last_result = Some(result);
-        Ok(self.last_result.as_ref().expect("just stored"))
-    }
-
-    /// The Result section of the last search.
-    pub fn result(&self) -> Option<&DiscoveryResult> {
-        self.last_result.as_ref()
-    }
-
-    /// The Result section's degradation banner: `None` when the last
-    /// search completed cleanly, `Some(text)` when faults or the watchdog
-    /// reduced it to a sound subset (see
-    /// [`DiscoveryResult::degradation_notice`]).
-    pub fn degradation_notice(&self) -> Option<String> {
-        self.last_result.as_ref()?.degradation_notice()
-    }
-
-    /// Step 4.1: the SQL text of one discovered query (Figure 4b).
-    pub fn result_sql(&self, index: usize) -> Result<&str, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        r.queries
-            .get(index)
-            .map(|q| q.sql.as_str())
-            .ok_or(Error::NoSuchResult(index))
-    }
-
-    /// Steps 4.2–4.3: the query graph of one discovered query with the
-    /// chosen constraints drawn in (Figure 4c). `picks = None` draws all.
-    pub fn explain_result(
-        &self,
-        index: usize,
-        picks: Option<&[ConstraintPick]>,
-    ) -> Result<QueryGraph, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        let q = r.queries.get(index).ok_or(Error::NoSuchResult(index))?;
-        let constraints = self
-            .last_constraints
-            .as_ref()
-            .expect("constraints stored with result");
-        let owned_all;
-        let picks = match picks {
-            Some(p) => p,
-            None => {
-                owned_all = all_picks(constraints);
-                &owned_all
-            }
-        };
-        Ok(explain(
-            self.engine.database(),
-            &q.candidate,
-            constraints,
-            picks,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::ConstraintError;
+    use crate::explain::ConstraintPick;
+    use crate::service::{DiscoveryService, SessionHandle};
     use prism_datasets::mondial;
+    use std::sync::Arc;
 
-    /// The full Section 3 walk-through as a session script.
+    /// Step 1: a Mondial service and a session configured by `config`.
+    fn open(config: SessionConfig) -> SessionHandle {
+        DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default())
+            .open_session(config)
+    }
+
+    /// The Section 3 walk-through as a session script, down to picking a
+    /// single constraint to draw (step 4.3).
     #[test]
     fn section_3_walkthrough() {
-        let db = mondial(42, 1);
-        // Step 1: configure — Mondial, 3 columns, 1 sample, metadata on.
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = open(SessionConfig::default());
         assert_eq!(session.database_name(), "Mondial");
-        // Step 2: describe.
         session
             .set_sample_cell(0, 0, "California || Nevada")
             .unwrap();
@@ -273,68 +129,25 @@ mod tests {
         session
             .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
             .unwrap();
-        // Step 3: search.
-        let result = session.start_searching().unwrap();
-        assert!(!result.queries.is_empty());
-        // Step 4: view the first queries and explain them.
-        let n = result.queries.len();
+        let n = session.start_searching().unwrap().queries.len();
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
         let idx = (0..n)
             .find(|&i| session.result_sql(i).unwrap() == want)
             .expect("desired query listed");
-        let graph = session.explain_result(idx, None).unwrap();
-        assert_eq!(graph.relations.len(), 2);
-        assert_eq!(graph.constraints.len(), 3);
-        // Step 4.3: picking a single constraint draws only it.
-        let one = session
-            .explain_result(
-                idx,
-                Some(&[ConstraintPick::Value {
-                    sample: 0,
-                    column: 1,
-                }]),
-            )
-            .unwrap();
+        let pick = ConstraintPick::Value {
+            sample: 0,
+            column: 1,
+        };
+        let one = session.explain_result(idx, Some(&[pick])).unwrap();
+        assert_eq!(one.relations.len(), 2);
         assert_eq!(one.constraints.len(), 1);
         assert!(one.constraints[0].label.contains("Lake Tahoe"));
     }
 
     #[test]
-    fn pipeline_toggle_cannot_change_session_results() {
-        let db = mondial(42, 1);
-        let keys = |pipeline: bool| {
-            let config = SessionConfig {
-                discovery: DiscoveryConfig {
-                    validation_threads: 4,
-                    pipeline,
-                    ..DiscoveryConfig::default()
-                },
-                ..SessionConfig::default()
-            };
-            let mut session = Session::new(&db, config);
-            session
-                .set_sample_cell(0, 0, "California || Nevada")
-                .unwrap();
-            session.set_sample_cell(0, 1, "Lake Tahoe").unwrap();
-            session
-                .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
-                .unwrap();
-            let result = session.start_searching().unwrap();
-            assert_eq!(result.stats.rounds_overlapped > 0, pipeline);
-            let mut k: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
-            k.sort();
-            k
-        };
-        let on = keys(true);
-        assert!(!on.is_empty());
-        assert_eq!(on, keys(false));
-    }
-
-    #[test]
     fn grid_bounds_are_enforced() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = open(SessionConfig::default());
         assert!(matches!(
             session.set_sample_cell(5, 0, "x"),
             Err(Error::OutOfRange { .. })
@@ -347,14 +160,10 @@ mod tests {
 
     #[test]
     fn metadata_can_be_disabled() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(
-            &db,
-            SessionConfig {
-                with_metadata: false,
-                ..SessionConfig::default()
-            },
-        );
+        let mut session = open(SessionConfig {
+            with_metadata: false,
+            ..SessionConfig::default()
+        });
         assert!(matches!(
             session.set_metadata_cell(0, "DataType=='int'"),
             Err(Error::MetadataDisabled)
@@ -363,20 +172,18 @@ mod tests {
 
     #[test]
     fn searching_without_constraints_fails_cleanly() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = open(SessionConfig::default());
         assert!(matches!(
             session.start_searching(),
             Err(Error::Constraint(_))
         ));
         assert!(session.result().is_none());
-        assert!(session.result_sql(0).is_err());
+        assert!(matches!(session.result_sql(0), Err(Error::NoSearchRun)));
     }
 
     #[test]
     fn clearing_a_cell_removes_the_constraint() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = open(SessionConfig::default());
         session.set_sample_cell(0, 0, "Lake Tahoe").unwrap();
         session.set_sample_cell(0, 0, "   ").unwrap();
         assert!(matches!(
@@ -387,8 +194,7 @@ mod tests {
 
     #[test]
     fn bad_constraint_text_reports_cell() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = open(SessionConfig::default());
         session.set_sample_cell(0, 1, "a ||").unwrap();
         match session.start_searching() {
             Err(Error::Constraint(ConstraintError::Parse { row, column, .. })) => {

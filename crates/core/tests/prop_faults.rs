@@ -27,8 +27,8 @@
 //! fires, asserting soundness throughout (and is a no-op when unset).
 
 use prism_core::{
-    default_faults, DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, Session,
-    SessionConfig,
+    default_faults, DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, SessionConfig,
+    SessionHandle,
 };
 use prism_datasets::{mondial, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
@@ -59,7 +59,7 @@ fn config(threads: usize, pipeline: bool, faults: Option<FaultSpec>) -> Discover
     }
 }
 
-fn walkthrough_grid(session: &mut Session<'_>) {
+fn walkthrough_grid(session: &mut SessionHandle) {
     session
         .set_sample_cell(0, 0, "California || Nevada")
         .unwrap();
@@ -69,14 +69,9 @@ fn walkthrough_grid(session: &mut Session<'_>) {
         .unwrap();
 }
 
+/// One walkthrough round on a fresh service sized by `config`.
 fn run_walkthrough(config: DiscoveryConfig) -> DiscoveryResult {
-    let mut session = Session::new(
-        fixture().as_ref(),
-        SessionConfig {
-            discovery: config,
-            ..SessionConfig::default()
-        },
-    );
+    let mut session = DiscoveryService::new(Arc::clone(fixture()), config).open_default_session();
     walkthrough_grid(&mut session);
     session.start_searching().unwrap().clone()
 }
@@ -344,8 +339,8 @@ fn env_chaos_smoke_injects_and_stays_sound() {
             Resolution::Metadata,
         ] {
             for task in taskgen.generate_many(resolution, 1, &mut rng) {
-                let chaotic = run_task(db.as_ref(), &task, DiscoveryConfig::default());
-                let clean = run_task(db.as_ref(), &task, config(4, true, None));
+                let chaotic = run_task(db, &task, DiscoveryConfig::default());
+                let clean = run_task(db, &task, config(4, true, None));
                 assert!(
                     is_subset(&keys(&chaotic), &keys(&clean)),
                     "env chaos accepted a query the clean run does not ({resolution:?}/{seed})"
@@ -364,16 +359,14 @@ fn env_chaos_smoke_injects_and_stays_sound() {
     );
 }
 
-fn run_task(db: &Database, task: &MappingTask, config: DiscoveryConfig) -> DiscoveryResult {
-    let mut session = Session::new(
-        db,
-        SessionConfig {
-            target_columns: task.column_count,
-            sample_rows: task.samples.len(),
-            with_metadata: true,
-            discovery: config,
-        },
-    );
+fn run_task(db: &Arc<Database>, task: &MappingTask, config: DiscoveryConfig) -> DiscoveryResult {
+    let svc = DiscoveryService::new(Arc::clone(db), config.clone());
+    let mut session = svc.open_session(SessionConfig {
+        target_columns: task.column_count,
+        sample_rows: task.samples.len(),
+        with_metadata: true,
+        discovery: config,
+    });
     for (r, row) in task.samples.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {
             if let Some(text) = cell {

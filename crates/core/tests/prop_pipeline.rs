@@ -7,7 +7,7 @@
 //! speculation never exceeds speculation performed, and phased runs
 //! report all-zero counters. A second property lifts the guarantee
 //! through the service layer: N concurrent pipelined sessions accept
-//! exactly the set a plain sequential [`Session`] accepts.
+//! exactly the set a sequential, phased reference session accepts.
 //!
 //! `PRISM_SERVICE_SESSIONS` sizes the concurrent fan-out (default 2; CI's
 //! multi-session smoke leg sets 4).
@@ -19,7 +19,7 @@ use prism_core::scheduler::{
 };
 use prism_core::{
     candidates::enumerate_candidates, filters::build_filters, related::find_related,
-    DiscoveryConfig, DiscoveryService, Session, SessionConfig, SessionHandle, TargetConstraints,
+    DiscoveryConfig, DiscoveryService, SessionConfig, SessionHandle, TargetConstraints,
 };
 use prism_datasets::{mondial, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
@@ -92,25 +92,19 @@ fn task_session(
         with_metadata: true,
         discovery: config,
     });
-    fill_grid(task, |r, c, text| {
-        session.set_sample_cell(r, c, text).unwrap();
-    });
+    for (r, row) in task.samples.iter().enumerate() {
+        for (c, cell) in row.iter().enumerate() {
+            if let Some(text) = cell {
+                session.set_sample_cell(r, c, text.clone()).unwrap();
+            }
+        }
+    }
     for (c, meta) in task.metadata.iter().enumerate() {
         if let Some(text) = meta {
             session.set_metadata_cell(c, text.clone()).unwrap();
         }
     }
     session
-}
-
-fn fill_grid(task: &MappingTask, mut set: impl FnMut(usize, usize, String)) {
-    for (r, row) in task.samples.iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            if let Some(text) = cell {
-                set(r, c, text.clone());
-            }
-        }
-    }
 }
 
 proptest! {
@@ -176,7 +170,7 @@ proptest! {
 
     /// Service level: N sessions racing on one pipeline-enabled service
     /// (shared plan cache, shared thread budget, shared database) accept
-    /// exactly the set a plain sequential [`Session`] accepts with the
+    /// exactly the set a one-thread reference session accepts with the
     /// pipeline off.
     #[test]
     fn concurrent_pipelined_sessions_match_the_sequential_session(
@@ -186,26 +180,14 @@ proptest! {
         let sessions = service_sessions();
         let (db, _) = fixture();
         for task in &generate_task(seed, resolution) {
-            // Reference: a standalone sequential session, pipeline off.
+            // Reference: a session on its own one-thread service, pipeline off.
             let seq_config = DiscoveryConfig {
                 validation_threads: 1,
                 pipeline: false,
                 ..DiscoveryConfig::with_scheduler(SchedulerKind::PathLength)
             };
-            let mut reference = Session::new(db.as_ref(), SessionConfig {
-                target_columns: task.column_count,
-                sample_rows: task.samples.len(),
-                with_metadata: true,
-                discovery: seq_config,
-            });
-            fill_grid(task, |r, c, text| {
-                reference.set_sample_cell(r, c, text).unwrap();
-            });
-            for (c, meta) in task.metadata.iter().enumerate() {
-                if let Some(text) = meta {
-                    reference.set_metadata_cell(c, text.clone()).unwrap();
-                }
-            }
+            let reference_svc = DiscoveryService::new(Arc::clone(db), seq_config.clone());
+            let mut reference = task_session(&reference_svc, task, seq_config);
             let result = reference.start_searching().unwrap();
             let mut expected: Vec<String> =
                 result.queries.iter().map(|q| q.key.clone()).collect();

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --example csv_import`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::db::DatabaseBuilder;
+use std::sync::Arc;
 
 const PRODUCTS_CSV: &str = "\
 Sku,Name,Category,Price,Introduced
@@ -39,7 +40,7 @@ fn main() {
         .expect("orders load");
     b.add_foreign_key("Orders", "Sku", "Product", "Sku")
         .expect("join edge");
-    let db = b.build();
+    let db = Arc::new(b.build());
 
     println!("loaded `{}`:", db.name());
     for (tid, schema) in db.catalog().tables() {
@@ -74,7 +75,7 @@ fn main() {
     )
     .unwrap();
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
     println!(
         "\n{} satisfying schema mappings in {:?}:",

@@ -8,11 +8,12 @@
 //!
 //! Run with: `cargo run --example imdb_exploration`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::imdb;
+use std::sync::Arc;
 
 fn main() {
-    let db = imdb(42, 1);
+    let db = Arc::new(imdb(42, 1));
     println!(
         "IMDB: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -35,7 +36,7 @@ fn main() {
     println!("  column 1: >= 1940 && <= 1959             (value range)");
     println!("  column 2: Akira Kurosawa                 (exact keyword)\n");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
     println!(
         "{} satisfying queries in {:?}:",

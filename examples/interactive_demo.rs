@@ -5,8 +5,7 @@
 //! Pass a database name to explore the other demo datasets:
 //! `cargo run --example interactive_demo -- mondial|imdb|nba`
 
-use prism::core::session::SessionConfig;
-use prism::core::DiscoveryConfig;
+use prism::core::{DiscoveryConfig, SessionConfig};
 use prism::datasets::{imdb, mondial, nba};
 use prism::DiscoveryService;
 use std::sync::Arc;

@@ -9,11 +9,12 @@
 //! Run with: `cargo run --example mondial_lakes`
 
 use prism::core::explain::{all_picks, explain, ConstraintPick};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::mondial;
+use std::sync::Arc;
 
 fn main() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     println!(
         "Mondial: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -38,7 +39,7 @@ fn main() {
     )
     .unwrap();
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
     println!(
         "{} satisfying queries in {:?} ({} validations over {} filters)",

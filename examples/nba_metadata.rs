@@ -11,11 +11,12 @@
 //! Run with: `cargo run --example nba_metadata`
 
 use prism::core::explain::{all_picks, explain};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::nba;
+use std::sync::Arc;
 
 fn main() {
-    let db = nba(42, 1);
+    let db = Arc::new(nba(42, 1));
     println!(
         "NBA: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -38,7 +39,7 @@ fn main() {
     println!("  column 1: DataType == 'date'                        (metadata only)");
     println!("  column 2: DataType == 'int' AND 0 <= values <= 200  (metadata only)\n");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
     println!(
         "{} satisfying queries in {:?}:",

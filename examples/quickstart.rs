@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::db::{ColumnDef, DataType, DatabaseBuilder, Value};
+use std::sync::Arc;
 
 fn main() {
     // 1. A miniature source database: lakes and where they are.
@@ -46,7 +47,7 @@ fn main() {
     .unwrap();
     b.add_foreign_key("geo_lake", "Lake", "Lake", "Name")
         .unwrap();
-    let db = b.build(); // preprocessing: index, stats, schema graph
+    let db = Arc::new(b.build()); // preprocessing: index, stats, schema graph
 
     // 2. Describe the desired 3-column target schema at mixed resolution:
     //    a keyword disjunction, an exact keyword, and type-level metadata.
@@ -66,7 +67,7 @@ fn main() {
     .expect("constraints parse");
 
     // 3. Discover satisfying Project-Join queries.
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
 
     println!(

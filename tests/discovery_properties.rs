@@ -1,30 +1,28 @@
 //! Property-based tests of the discovery engine's core guarantees, driven
 //! by randomized constraints over synthetic Mondial.
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::mondial;
 use prism::db::Database;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Shared database + engine: building them once keeps the 64-case proptest
-/// runs fast.
-fn db() -> &'static Database {
-    static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| mondial(42, 1))
-}
-
-fn engine() -> &'static Discovery<'static> {
-    static ENGINE: OnceLock<Discovery<'static>> = OnceLock::new();
+/// Shared engine: building it once keeps the 64-case proptest runs fast.
+fn engine() -> &'static DiscoveryService {
+    static ENGINE: OnceLock<DiscoveryService> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        Discovery::new(
-            db(),
+        DiscoveryService::new(
+            Arc::new(mondial(42, 1)),
             DiscoveryConfig {
                 result_limit: 100_000,
                 ..DiscoveryConfig::default()
             },
         )
     })
+}
+
+fn db() -> &'static Database {
+    engine().database()
 }
 
 /// Keywords that exist in Mondial plus ones that don't.

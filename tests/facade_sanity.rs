@@ -5,7 +5,7 @@
 //! before the heavier end-to-end suites run.
 
 use prism::bayes::{BayesEstimator, TrainConfig};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, TargetConstraints};
 use prism::db::{ColumnDef, DataType, DatabaseBuilder, Value};
 use prism::lang::{matches_value, parse_metadata_constraint, parse_value_constraint};
 
@@ -56,14 +56,18 @@ fn core_discovers_on_a_toy_database_through_the_facade() {
         &[None, Some("DataType=='decimal'".to_string())],
     )
     .unwrap();
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = prism::DiscoveryService::new(std::sync::Arc::new(db), DiscoveryConfig::default());
     let result = engine.run(&constraints);
     assert!(!result.timed_out);
     assert!(
         !result.queries.is_empty(),
         "discovery found nothing on the toy database"
     );
-    let rows = result.queries[0].candidate.query.execute(&db, 100).unwrap();
+    let rows = result.queries[0]
+        .candidate
+        .query
+        .execute(engine.database(), 100)
+        .unwrap();
     assert!(rows.iter().any(|r| r[0] == Value::text("Lake Tahoe")));
 }
 

@@ -2,9 +2,10 @@
 //! Sections 1 and 3) through the public facade crate.
 
 use prism::core::explain::{all_picks, explain};
-use prism::core::{Discovery, DiscoveryConfig, SchedulerKind, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, SchedulerKind, TargetConstraints};
 use prism::datasets::mondial;
 use prism::db::Value;
+use std::sync::Arc;
 
 fn walkthrough_constraints() -> TargetConstraints {
     TargetConstraints::parse(
@@ -28,8 +29,8 @@ const DESIRED_SQL: &str = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
 
 #[test]
 fn the_desired_query_is_discovered() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&walkthrough_constraints());
     assert!(!result.timed_out);
     assert!(
@@ -41,8 +42,8 @@ fn the_desired_query_is_discovered() {
 
 #[test]
 fn table_1_rows_are_reproduced() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&walkthrough_constraints());
     let hit = result
         .queries
@@ -66,9 +67,9 @@ fn table_1_rows_are_reproduced() {
 
 #[test]
 fn every_returned_query_satisfies_all_constraints() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = walkthrough_constraints();
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     assert!(!result.queries.is_empty());
     for q in &result.queries {
@@ -105,10 +106,16 @@ fn the_returned_set_is_complete_wrt_naive_validation() {
     // Every candidate accepted by exhaustive naive validation must also be
     // accepted by the scheduled run — filter scheduling is an optimization,
     // not an approximation.
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = walkthrough_constraints();
-    let fast = Discovery::new(&db, DiscoveryConfig::with_scheduler(SchedulerKind::Bayes));
-    let slow = Discovery::new(&db, DiscoveryConfig::with_scheduler(SchedulerKind::Naive));
+    let fast = DiscoveryService::new(
+        Arc::clone(&db),
+        DiscoveryConfig::with_scheduler(SchedulerKind::Bayes),
+    );
+    let slow = DiscoveryService::new(
+        Arc::clone(&db),
+        DiscoveryConfig::with_scheduler(SchedulerKind::Naive),
+    );
     let mut a: Vec<String> = fast.run(&tc).queries.into_iter().map(|q| q.key).collect();
     let mut b: Vec<String> = slow.run(&tc).queries.into_iter().map(|q| q.key).collect();
     a.sort();
@@ -118,9 +125,9 @@ fn the_returned_set_is_complete_wrt_naive_validation() {
 
 #[test]
 fn explanation_graph_of_the_desired_query_matches_figure_4c() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = walkthrough_constraints();
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     let hit = result
         .queries
@@ -138,8 +145,8 @@ fn explanation_graph_of_the_desired_query_matches_figure_4c() {
 
 #[test]
 fn discovery_stays_well_inside_the_interactive_budget() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&walkthrough_constraints());
     // The paper's demo budget is 60 s; synthetic Mondial at scale 1 should
     // resolve in a tiny fraction of that even on slow machines.

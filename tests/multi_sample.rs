@@ -4,15 +4,15 @@
 //! cross-sample intersection logic end-to-end, plus the demo's iterative
 //! refinement loop (step 4.4: "repeat the above process").
 
-use prism::core::session::{Session, SessionConfig};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, SessionConfig, TargetConstraints};
 use prism::datasets::mondial;
 use prism::lang::matches_value;
+use std::sync::Arc;
 
 #[test]
 fn two_sample_rows_intersect_candidates() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     // Two lakes with their states: both rows must appear in the result.
     let tc = TargetConstraints::parse(
         2,
@@ -40,8 +40,8 @@ fn two_sample_rows_intersect_candidates() {
 
 #[test]
 fn contradictory_second_sample_prunes_everything() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     // Row 1 is satisfiable; row 2 pairs a lake with the wrong state, so no
     // single query can contain both (for the lake/state interpretation) —
     // and no other column pair holds both combinations either.
@@ -70,9 +70,9 @@ fn contradictory_second_sample_prunes_everything() {
 #[test]
 fn fewer_samples_never_yield_fewer_queries() {
     // Adding a sample row can only constrain further (monotonicity).
-    let db = mondial(42, 1);
-    let engine = Discovery::new(
-        &db,
+    let db = Arc::new(mondial(42, 1));
+    let engine = DiscoveryService::new(
+        Arc::clone(&db),
         DiscoveryConfig {
             result_limit: 100_000,
             ..DiscoveryConfig::default()
@@ -118,19 +118,16 @@ fn fewer_samples_never_yield_fewer_queries() {
 fn session_supports_iterative_refinement() {
     // Demo step 4.4: the user inspects results, tightens the description,
     // and searches again within the same session.
-    let db = mondial(42, 1);
-    let mut session = Session::new(
-        &db,
-        SessionConfig {
-            target_columns: 2,
-            sample_rows: 1,
-            with_metadata: true,
-            discovery: DiscoveryConfig {
-                result_limit: 100_000,
-                ..DiscoveryConfig::default()
-            },
+    let svc = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
+    let mut session = svc.open_session(SessionConfig {
+        target_columns: 2,
+        sample_rows: 1,
+        with_metadata: true,
+        discovery: DiscoveryConfig {
+            result_limit: 100_000,
+            ..DiscoveryConfig::default()
         },
-    );
+    });
     session.set_sample_cell(0, 0, "Lake Tahoe").unwrap();
     let broad = session.start_searching().unwrap().queries.len();
     assert!(broad > 0);

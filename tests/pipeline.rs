@@ -2,10 +2,11 @@
 //! all three demo databases must rediscover their ground-truth queries
 //! (Figure 2's architecture, end to end).
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::{imdb, mondial, nba, Resolution, TaskGenConfig, TaskGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn engine_config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -14,13 +15,17 @@ fn engine_config() -> DiscoveryConfig {
     }
 }
 
+fn service(db: prism::db::Database) -> DiscoveryService {
+    DiscoveryService::new(Arc::new(db), engine_config())
+}
+
 fn run_tasks(
-    db: &prism::db::Database,
+    engine: &DiscoveryService,
     resolution: Resolution,
     n: usize,
     seed: u64,
 ) -> (usize, usize) {
-    let engine = Discovery::new(db, engine_config());
+    let db = engine.database();
     let taskgen = TaskGenerator::new(db, TaskGenConfig::default());
     let mut rng = StdRng::seed_from_u64(seed);
     let tasks = taskgen.generate_many(resolution, n, &mut rng);
@@ -40,20 +45,20 @@ fn run_tasks(
 
 #[test]
 fn mondial_exact_tasks_rediscover_ground_truth() {
-    let db = mondial(42, 1);
-    let (found, total) = run_tasks(&db, Resolution::Exact, 6, 1);
+    let engine = service(mondial(42, 1));
+    let (found, total) = run_tasks(&engine, Resolution::Exact, 6, 1);
     assert_eq!(found, total, "exact constraints must always find the truth");
 }
 
 #[test]
 fn mondial_loose_tasks_still_find_ground_truth() {
-    let db = mondial(42, 1);
+    let engine = service(mondial(42, 1));
     for resolution in [
         Resolution::Disjunction,
         Resolution::Range,
         Resolution::Metadata,
     ] {
-        let (found, total) = run_tasks(&db, resolution, 5, 2);
+        let (found, total) = run_tasks(&engine, resolution, 5, 2);
         assert_eq!(
             found, total,
             "{resolution:?}: loosening constraints must not lose the truth \
@@ -64,28 +69,27 @@ fn mondial_loose_tasks_still_find_ground_truth() {
 
 #[test]
 fn imdb_tasks_rediscover_ground_truth() {
-    let db = imdb(42, 1);
+    let engine = service(imdb(42, 1));
     for resolution in [Resolution::Exact, Resolution::Range] {
-        let (found, total) = run_tasks(&db, resolution, 5, 3);
+        let (found, total) = run_tasks(&engine, resolution, 5, 3);
         assert_eq!(found, total, "{resolution:?} on IMDB");
     }
 }
 
 #[test]
 fn nba_tasks_rediscover_ground_truth() {
-    let db = nba(42, 1);
+    let engine = service(nba(42, 1));
     for resolution in [Resolution::Exact, Resolution::Disjunction] {
-        let (found, total) = run_tasks(&db, resolution, 5, 4);
+        let (found, total) = run_tasks(&engine, resolution, 5, 4);
         assert_eq!(found, total, "{resolution:?} on NBA");
     }
 }
 
 #[test]
 fn missing_cells_never_lose_the_truth_only_add_noise() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, engine_config());
+    let engine = service(mondial(42, 1));
     let taskgen = TaskGenerator::new(
-        &db,
+        engine.database(),
         TaskGenConfig {
             min_columns: 3,
             max_columns: 3,

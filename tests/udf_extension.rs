@@ -2,11 +2,11 @@
 //! constraints ("we plan to support more metadata constraints, and even
 //! user-defined functions" — Section 2.1). End-to-end through the facade.
 
-use prism::core::session::{Session, SessionConfig};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, SessionConfig, TargetConstraints};
 use prism::datasets::mondial;
 use prism::db::{DataType, Value};
 use prism::lang::UdfRegistry;
+use std::sync::Arc;
 
 fn registry() -> UdfRegistry {
     let mut udfs = UdfRegistry::new();
@@ -32,7 +32,7 @@ fn registry() -> UdfRegistry {
 
 #[test]
 fn value_udf_constrains_cells() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = TargetConstraints::parse(
         2,
         &[vec![
@@ -44,7 +44,7 @@ fn value_udf_constrains_cells() {
     .unwrap()
     .with_udfs(registry());
     assert!(tc.missing_udfs().is_empty());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     assert!(!result.queries.is_empty());
     // Soundness: some result row's column-1 cell has exactly two words.
@@ -62,7 +62,7 @@ fn value_udf_constrains_cells() {
 
 #[test]
 fn column_udf_acts_as_metadata() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = TargetConstraints::parse(
         2,
         &[vec![Some("Lake Tahoe".to_string()), None]],
@@ -70,7 +70,7 @@ fn column_udf_acts_as_metadata() {
     )
     .unwrap()
     .with_udfs(registry());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     assert!(!result.queries.is_empty());
     // Every accepted assignment's column 1 satisfies the column UDF.
@@ -84,7 +84,7 @@ fn column_udf_acts_as_metadata() {
 
 #[test]
 fn udfs_combine_with_builtin_predicates() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     // area >= 100 AND positive — conjunction of builtin + UDF.
     let tc = TargetConstraints::parse(
         2,
@@ -96,25 +96,26 @@ fn udfs_combine_with_builtin_predicates() {
     )
     .unwrap()
     .with_udfs(registry());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     assert!(!result.queries.is_empty());
 }
 
 #[test]
 fn unregistered_udf_matches_nothing() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let tc = TargetConstraints::parse(1, &[vec![Some("@ghost".to_string())]], &[]).unwrap(); // no registry attached
     assert_eq!(tc.missing_udfs(), vec!["@ghost (value)"]);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
+    let engine = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
     let result = engine.run(&tc);
     assert!(result.queries.is_empty(), "unknown UDFs are conservative");
 }
 
 #[test]
 fn session_rejects_unknown_udfs_with_a_clear_error() {
-    let db = mondial(42, 1);
-    let mut session = Session::new(&db, SessionConfig::default());
+    let db = Arc::new(mondial(42, 1));
+    let mut session = DiscoveryService::new(db, DiscoveryConfig::default())
+        .open_session(SessionConfig::default());
     session.set_sample_cell(0, 0, "@phantom").unwrap();
     let err = session.start_searching().unwrap_err();
     assert!(err.to_string().contains("phantom"), "{err}");
